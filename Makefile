@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-json bench-diff serve-smoke obs-smoke part-smoke cluster-smoke check clean
+.PHONY: all build vet test race bench-smoke bench-json bench-diff serve-smoke obs-smoke part-smoke cluster-smoke example-smoke check clean
 
 all: check
 
@@ -66,7 +66,14 @@ part-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-check: build vet race bench-smoke bench-diff serve-smoke obs-smoke part-smoke cluster-smoke
+# example-smoke runs the distributed example: a coordinator and three
+# in-process workers mine through the public cluster path, and the
+# example exits non-zero if the result differs from a local run or if
+# no unit was mined on a worker.
+example-smoke:
+	$(GO) run ./examples/distributed
+
+check: build vet race bench-smoke bench-diff serve-smoke obs-smoke part-smoke cluster-smoke example-smoke
 
 clean:
 	$(GO) clean ./...

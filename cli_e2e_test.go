@@ -66,12 +66,19 @@ func TestCLIEndToEnd(t *testing.T) {
 	run("datagen", "-update", "0.3", "-seed", "5", "-n", "10", "-o", updPath, dbPath)
 
 	_, errOut = run("partminer", "-minsup", "0.1", "-k", "2", "-maxedges", "4",
-		"-resume", resPath, "-updated", updPath, dbPath)
+		"-resume", resPath, "-updated", updPath, "-phases", dbPath)
 	if !strings.Contains(errOut, "resumed") {
 		t.Errorf("resume banner missing: %q", errOut)
 	}
 	if !strings.Contains(errOut, "UF (unchanged frequent)") {
 		t.Errorf("incremental classification missing: %q", errOut)
+	}
+	// The resumed run's -phases table attributes the core stages, not
+	// just the unit miners' gaston.* stages.
+	for _, stage := range []string{"partition", "units", "merge"} {
+		if !strings.Contains(errOut, "\n"+stage+" ") {
+			t.Errorf("resumed -phases table lacks stage %q: %q", stage, errOut)
+		}
 	}
 
 	out, _ = run("benchrunner", "-fig", "ablation-miner", "-d50k", "60", "-d100k", "60", "-maxedges", "3")

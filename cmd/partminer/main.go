@@ -37,8 +37,8 @@ import (
 	"partminer/internal/gspan"
 	"partminer/internal/obs"
 	"partminer/internal/partition"
-	"partminer/internal/query"
 	"partminer/internal/pattern"
+	"partminer/internal/query"
 )
 
 func main() {
@@ -218,6 +218,12 @@ func main() {
 		f.Close()
 		if err == nil {
 			log.Info("resumed from saved result", "patterns", len(res.Patterns), "path", *resumePath)
+			// A loaded result carries no observer, and the incremental run
+			// reads its observer from the result's options: without this,
+			// -phases would attribute only the unit miners' own stages.
+			if collector != nil {
+				res.Options.Observer = collector
+			}
 		}
 	} else {
 		res, err = core.MineContext(ctx, db, opts)

@@ -44,6 +44,12 @@ import (
 	"partminer/internal/server"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers on the API and debug listeners, so a stalled connection cannot
+// pin a goroutine forever. Read, write and idle timeouts stay unset: a
+// fold can legitimately hold an update response open for a long time.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7365", "listen address (use :0 for an ephemeral port)")
 	portFile := flag.String("portfile", "", "write the bound address to this file once listening (for scripts)")
@@ -156,8 +162,9 @@ func main() {
 			fatal(err)
 		}
 		log.Info("pprof listening", "addr", dln.Addr().String())
+		dsrv := &http.Server{Handler: dmux, ReadHeaderTimeout: readHeaderTimeout}
 		go func() {
-			if err := http.Serve(dln, dmux); err != nil {
+			if err := dsrv.Serve(dln); err != nil {
 				log.Error("pprof server exited", "err", err)
 			}
 		}()
@@ -218,7 +225,7 @@ func main() {
 	}
 	log.Info("listening", "addr", ln.Addr().String())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

@@ -1,22 +1,18 @@
 // Command partworker runs a unit-mining worker for distributed PartMiner.
 //
-// Standalone mode (no -join): serve the legacy internal/remote Miner
-// service; a coordinator using partminer.DialWorkers ships partition
-// units here by explicit address.
+// It serves the cluster Shard service (unit mining with a warm cache,
+// snapshot replicas, replica reads), registers with the coordinator
+// named by -join (a `partserved -cluster-addr` process or any
+// partminer.Coordinator), and heartbeats until stopped. The -id is the
+// worker's ring identity: restarting under the same -id reclaims exactly
+// the units it owned before.
 //
-// Cluster mode (-join): serve the cluster Shard service (unit mining
-// with a warm cache, snapshot replicas, replica reads), register with
-// the coordinator, and heartbeat until stopped. The -id is the worker's
-// ring identity: restarting under the same -id reclaims exactly the
-// units it owned before.
-//
-// In either mode -metrics-addr opens a dedicated observability listener
-// (mirroring partserved -debug-addr) serving /metrics (the worker's
-// partworker_* registry), /healthz, and /debug/pprof.
+// -metrics-addr opens a dedicated observability listener (mirroring
+// partserved -debug-addr) serving /metrics (the worker's partworker_*
+// registry), /healthz, and /debug/pprof.
 //
 // Usage:
 //
-//	partworker -listen :4100
 //	partworker -listen :0 -join 127.0.0.1:7400 -id worker-a -metrics-addr :0
 //
 // SIGINT/SIGTERM shut the worker down cleanly.
@@ -32,22 +28,27 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"partminer/internal/cluster"
 	"partminer/internal/obs"
-	"partminer/internal/remote"
 )
 
 func main() {
 	listen := flag.String("listen", ":4100", "address to listen on (use :0 for an ephemeral port)")
 	portFile := flag.String("portfile", "", "write the bound address to this file once listening (for scripts)")
-	join := flag.String("join", "", "coordinator address to register with (enables cluster mode)")
-	id := flag.String("id", "", "stable ring identity in cluster mode (default: worker-<pid>)")
+	join := flag.String("join", "", "coordinator address to register with (required)")
+	id := flag.String("id", "", "stable ring identity (default: worker-<pid>)")
 	advertise := flag.String("advertise", "", "address advertised to the coordinator (default: the bound listener address)")
-	heartbeat := flag.Duration("heartbeat", 0, "heartbeat period in cluster mode (0 = 2s default)")
+	heartbeat := flag.Duration("heartbeat", 0, "heartbeat period (0 = 2s default)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (off when empty)")
 	metricsPortFile := flag.String("metrics-portfile", "", "write the bound metrics address to this file once listening (for scripts)")
 	flag.Parse()
+	if *join == "" {
+		fmt.Fprintln(os.Stderr, "partworker: -join <coordinator address> is required")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -66,24 +67,6 @@ func main() {
 		<-ctx.Done()
 		l.Close()
 	}()
-
-	if *join == "" {
-		// Standalone mode has no Worker (and so no shard instruments); the
-		// observability listener still serves healthz/pprof and an empty
-		// registry so probes work uniformly across modes.
-		if err := serveMetrics(ctx, *metricsAddr, *metricsPortFile, obs.NewRegistry()); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "partworker: mining units on %s\n", l.Addr())
-		if err := remote.Serve(l); err != nil {
-			if ctx.Err() != nil {
-				fmt.Fprintln(os.Stderr, "partworker: shutting down")
-				return
-			}
-			fatal(err)
-		}
-		return
-	}
 
 	if *id == "" {
 		*id = fmt.Sprintf("worker-%d", os.Getpid())
@@ -110,6 +93,11 @@ func main() {
 		fatal(err)
 	}
 }
+
+// readHeaderTimeout bounds how long a client may take to send request
+// headers on the metrics listener, so a stalled connection cannot pin a
+// goroutine forever.
+const readHeaderTimeout = 10 * time.Second
 
 // serveMetrics opens the dedicated observability listener when addr is
 // set: the registry at /metrics, a liveness probe at /healthz, and the
@@ -140,7 +128,7 @@ func serveMetrics(ctx context.Context, addr, portFile string, registry *obs.Regi
 		}
 	}
 	fmt.Fprintf(os.Stderr, "partworker: metrics on %s\n", ln.Addr())
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	go srv.Serve(ln) //nolint:errcheck // closed via ctx below
 	go func() {
 		<-ctx.Done()

@@ -192,8 +192,8 @@ func TestClusterKillMidMine(t *testing.T) {
 	if tc.coord.Counters().Reassignments == 0 {
 		t.Error("killing a unit owner mid-mine must count reassignments")
 	}
-	// Successful failover is clean — like remote.Pool, Err() reports only
-	// degradation that reached the result.
+	// Successful failover is clean: Err() reports only degradation that
+	// reached the result.
 	if err := tc.coord.Err(); err != nil {
 		t.Errorf("recovered failover must not record errors: %v", err)
 	}

@@ -22,12 +22,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"partminer/internal/core"
 	"partminer/internal/exec"
-	"partminer/internal/gaston"
 	"partminer/internal/graph"
 	"partminer/internal/obs"
 	"partminer/internal/pattern"
-	"partminer/internal/remote"
 )
 
 // snapshotKey is the ring key replica placement hashes; it rides the
@@ -52,10 +51,6 @@ type Config struct {
 	// Vnodes overrides the ring's virtual-node count; 0 selects
 	// DefaultVnodes.
 	Vnodes int
-	// Observer receives cluster.* counters and the cluster.rpc stage;
-	// replaceable later with SetObserver (the server wires its merged
-	// observer in after construction).
-	Observer exec.Observer
 }
 
 func (c Config) normalize() Config {
@@ -75,7 +70,7 @@ func (c Config) normalize() Config {
 type member struct {
 	id       string
 	addr     string
-	conn     *remote.Conn
+	conn     *Conn
 	alive    bool
 	lastBeat time.Time
 	mined    int64
@@ -141,6 +136,9 @@ type Coordinator struct {
 	cfg  Config
 	ring *Ring
 	obsv atomic.Pointer[obsBox]
+	// mine is the local fallback's unit miner, chosen once from
+	// cfg.FreeTreeEngine.
+	mine core.UnitMiner
 
 	mu         sync.Mutex
 	members    map[string]*member
@@ -169,19 +167,20 @@ func NewCoordinator(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg:      cfg,
 		ring:     NewRing(cfg.Vnodes),
+		mine:     unitMiner(cfg.FreeTreeEngine),
 		members:  make(map[string]*member),
 		lastMine: make(map[string]*mineRecord),
 		errs:     exec.NewErrCap(0),
 		stop:     make(chan struct{}),
 	}
-	c.obsv.Store(&obsBox{cfg.Observer})
 	c.wg.Add(1)
 	go c.monitor()
 	return c
 }
 
-// SetObserver replaces the observer (the server installs its merged
-// observer after construction; safe while the coordinator runs).
+// SetObserver installs the observer that receives cluster.* counters
+// and the cluster.rpc stage (the server installs its merged observer
+// after construction; safe while the coordinator runs).
 func (c *Coordinator) SetObserver(o exec.Observer) { c.obsv.Store(&obsBox{o}) }
 
 func (c *Coordinator) observer() exec.Observer {
@@ -233,13 +232,13 @@ func (c *Coordinator) register(args RegisterArgs, reply *RegisterReply) error {
 	c.mu.Lock()
 	m, ok := c.members[args.ID]
 	if !ok {
-		m = &member{id: args.ID, addr: args.Addr, conn: remote.NewConn(args.Addr)}
+		m = &member{id: args.ID, addr: args.Addr, conn: NewConn(args.Addr)}
 		c.members[args.ID] = m
 		c.ring.Add(args.ID)
 	} else if m.addr != args.Addr {
 		m.conn.Close()
 		m.addr = args.Addr
-		m.conn = remote.NewConn(args.Addr)
+		m.conn = NewConn(args.Addr)
 	}
 	m.alive = true
 	m.lastBeat = time.Now()
@@ -438,14 +437,14 @@ func digestSamples(samples []obs.Sample) map[string]float64 {
 	return out
 }
 
-// localMine is the no-fleet / all-failed fallback: mine the unit here,
-// exactly as a worker would have.
-func (c *Coordinator) localMine(ctx context.Context, db graph.Database, minSup, maxEdges int) (pattern.Set, error) {
-	engine := gaston.EngineDFSCode
-	if c.cfg.FreeTreeEngine {
-		engine = gaston.EngineFreeTree
+// unitMiner is the one unit-mine body of the cluster: a worker runs it
+// on a shipped unit and the coordinator on its local fallback, so a unit
+// mines identically wherever it lands.
+func unitMiner(freeTree bool) core.UnitMiner {
+	if freeTree {
+		return core.GastonFreeTreeMiner
 	}
-	return gaston.MineContext(ctx, db, gaston.Options{MinSupport: minSup, MaxEdges: maxEdges, Engine: engine})
+	return core.GastonMiner
 }
 
 // MineUnit is the coordinator's core.IndexedUnitMiner: the unit goes to
@@ -512,7 +511,7 @@ func (c *Coordinator) MineUnit(ctx context.Context, unit int, db graph.Database,
 		c.errs.Add(err)
 	}
 	c.count(&c.counters.localMines, "local_mines", 1)
-	set, err := c.localMine(ctx, db, minSup, maxEdges)
+	set, err := c.mine(ctx, db, minSup, maxEdges)
 	if err != nil {
 		errs = append(errs, fmt.Errorf("local fallback: %w", err))
 		joined := errors.Join(errs...)
@@ -695,7 +694,10 @@ func (c *Coordinator) Info(unitCount int) Info {
 }
 
 // Err returns the errors the coordinator absorbed while degrading
-// (failed worker mines, failed replications), capped like remote.Pool.
+// (failed worker mines, failed replications), joined with errors.Join.
+// A long degraded run is summarized rather than accumulated: the first
+// and most recent failures survive verbatim and the middle is elided
+// with a count (exec.ErrCap).
 func (c *Coordinator) Err() error {
 	return c.errs.Err()
 }

@@ -9,9 +9,9 @@ import "partminer/internal/obs"
 //   - "Shard" (exposed by every worker, called by the coordinator):
 //     MineUnit, StoreSnapshot, TopK, Contains, Status.
 //
-// Like internal/remote, payloads travel in the repository's text
-// formats — gSpan databases, pattern.WriteSet pattern sets, SaveSnapshot
-// snapshots — so every message is inspectable with a pager.
+// Payloads travel in the repository's text formats — gSpan databases,
+// pattern.WriteSet pattern sets, SaveSnapshot snapshots — so every
+// message is inspectable with a pager.
 //
 // Distributed tracing rides the same messages: work requests carry a
 // TraceID when the coordinator-side call is being traced ("" otherwise,

@@ -19,13 +19,11 @@ import (
 	"time"
 
 	"partminer/internal/core"
-	"partminer/internal/gaston"
 	"partminer/internal/graph"
 	"partminer/internal/index"
 	"partminer/internal/obs"
 	"partminer/internal/pattern"
 	"partminer/internal/query"
-	"partminer/internal/remote"
 )
 
 // DefaultHeartbeat is the worker heartbeat period when none is set.
@@ -80,7 +78,7 @@ type Worker struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 	wg       sync.WaitGroup
-	coord    *remote.Conn
+	coord    *Conn
 }
 
 // NewWorker returns a worker with the given ring identity.
@@ -138,7 +136,7 @@ func (w *Worker) Sever() {
 // restart only costs missed beats, and an unknown-ID reply triggers
 // re-registration (the coordinator lost its membership state).
 func (w *Worker) Join(coordAddr string) error {
-	w.coord = remote.NewConn(coordAddr)
+	w.coord = NewConn(coordAddr)
 	if err := w.register(); err != nil {
 		return err
 	}
@@ -265,15 +263,7 @@ func (w *Worker) mineUnit(args MineUnitArgs, reply *MineUnitReply) error {
 		ctx, cancel = context.WithDeadline(ctx, time.UnixMilli(args.DeadlineUnixMilli))
 		defer cancel()
 	}
-	engine := gaston.EngineDFSCode
-	if args.FreeTreeEngine {
-		engine = gaston.EngineFreeTree
-	}
-	set, err := gaston.MineContext(ctx, db, gaston.Options{
-		MinSupport: args.MinSupport,
-		MaxEdges:   args.MaxEdges,
-		Engine:     engine,
-	})
+	set, err := unitMiner(args.FreeTreeEngine)(ctx, db, args.MinSupport, args.MaxEdges)
 	if err != nil {
 		return fmt.Errorf("cluster: mine unit: %w", err)
 	}

@@ -35,6 +35,7 @@ import (
 	"context"
 	"io"
 
+	"partminer/internal/cluster"
 	"partminer/internal/core"
 	"partminer/internal/datagen"
 	"partminer/internal/exec"
@@ -42,7 +43,6 @@ import (
 	"partminer/internal/partition"
 	"partminer/internal/pattern"
 	"partminer/internal/query"
-	"partminer/internal/remote"
 )
 
 // Graph is an undirected labeled graph with integer vertex/edge labels and
@@ -207,13 +207,16 @@ func BuildSearchIndexContext(ctx context.Context, db Database, opts SearchIndexO
 // BuildSearchIndex.
 func SearchScan(db Database, q *Graph) []int { return query.Scan(db, q) }
 
-// WorkerPool is a fleet of remote unit-mining workers (cmd/partworker);
-// pass pool.MineUnit as Options.UnitMiner (with Options.Parallel) to
-// distribute Phase 2a across machines. RPC failures fail over to the
-// next worker once, then degrade the unit — visible in Result.Degraded
-// and via pool.Err().
-type WorkerPool = remote.Pool
+// Coordinator shards unit mining over a fleet of `partworker -join`
+// processes; serve its RPC with Serve, then pass coord.MineUnit as
+// Options.UnitMinerIndexed (with Options.Parallel) to distribute Phase 2a
+// across machines. Failed workers fail over along the ring, and a unit
+// no worker can answer is mined locally; see Result.Degraded and
+// Coordinator.Err.
+type Coordinator = cluster.Coordinator
 
-// DialWorkers connects to unit-mining workers at the given "host:port"
-// addresses.
-func DialWorkers(addrs ...string) (*WorkerPool, error) { return remote.Dial(addrs...) }
+// ClusterConfig parameterizes NewCoordinator.
+type ClusterConfig = cluster.Config
+
+// NewCoordinator returns a running coordinator; call Close to stop it.
+func NewCoordinator(cfg ClusterConfig) *Coordinator { return cluster.NewCoordinator(cfg) }
